@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import ast
 import copy
-from typing import Iterable, Iterator
+import pickle
+from typing import Iterator, NamedTuple
 
 from ..errors import CodeAnalysisError
 from ..execution.cache import get_cache
@@ -27,7 +28,7 @@ def parse_module(source: str, path: str | None = None, *, mutable: bool = True) 
     keyed on the source hash, so N analyses of one module parse it once.  The
     cached tree is shared: callers taking this path must treat it as
     read-only.  The default behaviour (``mutable=True``) returns a fresh,
-    privately owned parse, as the injection operators mutate trees in place.
+    privately owned parse for callers that mutate the tree in place.
     """
     if not mutable:
         return PARSE_CACHE.get_or_compute(
@@ -43,28 +44,92 @@ def _parse(source: str, path: str | None) -> ast.Module:
         raise CodeAnalysisError(f"target code is not valid Python: {exc}", source_path=path) from exc
 
 
-def normalised_source(source: str, path: str | None = None) -> str:
-    """``source`` round-tripped through parse/unparse (cached by source hash).
+class StatementModel(NamedTuple):
+    """A module's shared parse plus each top-level statement's rendered text.
 
-    Operators compare their output against this normal form to detect no-op
-    mutations; memoizing it means a planning pass over one module normalises
-    it once instead of once per applied fault.
+    ``texts`` maps ``id(statement)`` to ``(first, later)``: its text at index 0,
+    the only position where a string literal is the docstring, and at any later
+    index, led by the one or two newlines that separate it from its predecessor.
+    The model holds ``tree``, so no other live object can share those ids.
     """
-    cache = get_cache("ast-normalise")
-    return cache.get_or_compute(cache.key_for(source), lambda: unparse(_parse(source, path)))
+
+    tree: ast.Module
+    texts: dict[int, tuple[str, str]]
+
+
+#: Statement models by source hash; each module's texts are rendered once.
+STATEMENT_CACHE = get_cache("ast-statements")
+
+
+def statement_model(source: str, path: str | None = None) -> StatementModel:
+    """The cached :class:`StatementModel` of ``source`` (its tree is read-only)."""
+
+    def build() -> StatementModel:
+        tree = parse_module(source, path, mutable=False)
+        texts = {id(stmt): (_render(stmt, 0), _render(stmt, 1)) for stmt in tree.body}
+        return StatementModel(tree, texts)
+
+    return STATEMENT_CACHE.get_or_compute(STATEMENT_CACHE.key_for(source), build)
+
+
+def _render(statement: ast.stmt, index: int) -> str:
+    if index == 0:
+        return ast.unparse(ast.Module(body=[statement], type_ignores=[]))
+    return ast.unparse(ast.Module(body=[ast.Pass(), statement], type_ignores=[]))[len("pass"):]
+
+
+def render_module(source: str, body: list[ast.stmt]) -> str:
+    """:func:`unparse` of ``ast.Module(body)``, where ``body`` may share ``source``'s statements.
+
+    Statements of :func:`statement_model`'s tree reuse their cached text; only
+    the others (a mutated copy, a fresh import) are unparsed, each on its own.
+    """
+    texts = statement_model(source).texts
+    parts = []
+    for index, statement in enumerate(body):
+        cached = texts.get(id(statement))
+        if cached is not None:
+            parts.append(cached[0] if index == 0 else cached[1])
+        else:
+            parts.append(_render(ast.fix_missing_locations(statement), index))
+    text = "".join(parts)
+    return text if text.endswith("\n") else text + "\n"
+
+
+def normalised_source(source: str, path: str | None = None) -> str:
+    """``source`` round-tripped through parse/unparse; operators use it to detect no-op mutations."""
+    return render_module(source, statement_model(source, path).tree.body)
+
+
+def with_function(tree: ast.Module, function: FunctionNode, replacement: FunctionNode) -> ast.Module:
+    """A new module sharing ``tree``'s statements but with ``function`` swapped for ``replacement``.
+
+    ``function`` is one :func:`iter_functions` yields; a method's class is
+    shallow-copied with a new body list, so ``tree`` is left untouched.
+    """
+    body = list(tree.body)
+    for index, statement in enumerate(body):
+        if statement is function:
+            body[index] = replacement
+        elif isinstance(statement, ast.ClassDef) and any(child is function for child in statement.body):
+            body[index] = copy.copy(statement)
+            body[index].body = [replacement if child is function else child for child in statement.body]
+    return ast.Module(body=body, type_ignores=tree.type_ignores)
 
 
 def unparse(tree: ast.AST) -> str:
     """Render an AST back to source text with a trailing newline."""
     text = ast.unparse(ast.fix_missing_locations(tree))
-    if not text.endswith("\n"):
-        text += "\n"
-    return text
+    return text if text.endswith("\n") else text + "\n"
 
 
 def copy_tree(tree: ast.AST) -> ast.AST:
-    """Deep-copy an AST so mutations never alias the caller's tree."""
-    return copy.deepcopy(tree)
+    """Deep-copy an AST so mutations never alias the caller's tree.
+
+    A pickle round trip runs in C and is ~2.5x faster than :func:`copy.deepcopy`
+    on parse trees; every node and constant an AST holds is picklable.
+    """
+    return pickle.loads(pickle.dumps(tree, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 def iter_functions(tree: ast.Module) -> Iterator[tuple[FunctionNode, str | None]]:
@@ -107,27 +172,12 @@ def function_source(source: str, name: str) -> str:
     return segment
 
 
-def replace_function(tree: ast.Module, replacement: FunctionNode) -> ast.Module:
-    """Return a copy of ``tree`` with the function of the same name replaced."""
-    new_tree = copy_tree(tree)
-    replaced = False
-    for node, _class_name in iter_functions(new_tree):
-        if node.name == replacement.name:
-            node.args = replacement.args
-            node.body = replacement.body
-            node.decorator_list = replacement.decorator_list
-            replaced = True
-            break
-    if not replaced:
-        new_tree.body.append(replacement)
-    return ast.fix_missing_locations(new_tree)
-
-
 def replace_function_source(module_source: str, function_name: str, new_function_source: str) -> str:
     """Replace one function definition inside a module with new source text.
 
     The replacement text must itself parse to a module containing exactly one
-    function definition whose name matches ``function_name``.
+    function definition whose name matches ``function_name``.  Only the
+    top-level statement holding the function is re-rendered.
     """
     replacement_tree = parse_module(new_function_source)
     functions = [n for n, _cls in iter_functions(replacement_tree)]
@@ -138,13 +188,14 @@ def replace_function_source(module_source: str, function_name: str, new_function
         raise CodeAnalysisError(
             f"replacement defines {replacement.name!r}, expected {function_name!r}"
         )
-    tree = parse_module(module_source)
+    tree = statement_model(module_source).tree
     target = find_function(tree, function_name)
     if target is None:
         raise CodeAnalysisError(f"function {function_name!r} not found in target module")
-    target.args = replacement.args
-    target.body = replacement.body
-    return unparse(tree)
+    spliced = copy.copy(target)
+    spliced.args = replacement.args
+    spliced.body = replacement.body
+    return render_module(module_source, with_function(tree, target, spliced).body)
 
 
 def ensure_import(tree: ast.Module, module_name: str) -> ast.Module:
@@ -158,28 +209,8 @@ def ensure_import(tree: ast.Module, module_name: str) -> ast.Module:
     insert_at = 0
     if tree.body and isinstance(tree.body[0], ast.Expr) and isinstance(tree.body[0].value, ast.Constant):
         insert_at = 1  # keep a module docstring first
-    tree.body.insert(insert_at, import_node)
-    return ast.fix_missing_locations(tree)
-
-
-def statement_nodes(function: FunctionNode) -> list[ast.stmt]:
-    """Flat list of every statement node nested anywhere inside a function."""
-    collected: list[ast.stmt] = []
-
-    def visit(statements: Iterable[ast.stmt]) -> None:
-        for statement in statements:
-            collected.append(statement)
-            for field_name in ("body", "orelse", "finalbody"):
-                nested = getattr(statement, field_name, None)
-                if nested:
-                    visit(nested)
-            handlers = getattr(statement, "handlers", None)
-            if handlers:
-                for handler in handlers:
-                    visit(handler.body)
-
-    visit(function.body)
-    return collected
+    tree.body.insert(insert_at, ast.fix_missing_locations(import_node))
+    return tree
 
 
 def iter_statement_slots(function: FunctionNode) -> Iterator[tuple[list[ast.stmt], int, ast.stmt]]:

@@ -127,10 +127,14 @@ class FaultOperator(ABC):
             )
         rng = rng or SeededRNG(0, namespace=self.name)
         parameters = dict(parameters or {})
-        tree = ast_utils.parse_module(source, path=target_path)
-        function = self._locate_function(tree, point)
+        # Only the function is copied and only its top-level statement is
+        # re-rendered; the rest of the working module shares the cached parse.
+        shared = ast_utils.statement_model(source, path=target_path).tree
+        original = self._locate_function(shared, point)
+        function = ast_utils.copy_tree(original)
+        tree = ast_utils.with_function(shared, original, function)
         self._mutate(tree, function, point, rng, parameters)
-        mutated = ast_utils.unparse(tree)
+        mutated = ast_utils.render_module(source, tree.body)
         if mutated == source or mutated == ast_utils.normalised_source(source):
             raise InjectionError(
                 f"operator {self.name} produced no change at {point.qualified_function}:{point.lineno}",
@@ -164,12 +168,3 @@ class FaultOperator(ABC):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r} fault_type={self.fault_type.value!r}>"
 
-
-def executable_statements(function: ast_utils.FunctionNode) -> list[tuple[int, ast.stmt]]:
-    """Top-level executable statements of a function body (skipping docstrings)."""
-    statements = []
-    for index, statement in enumerate(function.body):
-        if ast_utils.is_docstring(statement):
-            continue
-        statements.append((index, statement))
-    return statements

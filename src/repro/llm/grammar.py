@@ -501,8 +501,13 @@ class CodeGrammar:
         original = list(original_body)
         if placement is PlacementStyle.BEFORE_RETURN:
             for index in range(len(original) - 1, -1, -1):
-                if original[index].lstrip().startswith("return"):
-                    return original[:index] + fault_lines + original[index:]
+                stripped = original[index].lstrip()
+                if stripped.startswith("return"):
+                    # The return may be nested (e.g. inside ``with lock:``): the
+                    # block goes at the return's own indentation.
+                    indent = original[index][: len(original[index]) - len(stripped)]
+                    block = [indent + line if line else line for line in fault_lines]
+                    return original[:index] + block + original[index:]
             return original + fault_lines
         if placement is PlacementStyle.WRAP_BODY:
             if decisions.fault_type in SCENARIO_TEMPLATES and decisions.handling_style is not HandlingStyle.UNHANDLED:

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import ast
+import copy
+import sys
+import threading
 
 import pytest
 
-from repro.errors import CodeAnalysisError
-from repro.injection import ast_utils
+from repro.errors import CodeAnalysisError, InjectionError
+from repro.injection import InjectionPointLocator, ProgrammableInjector, all_operators, ast_utils, get_operator
+from repro.rng import SeededRNG
+from repro.targets import get_target, target_names
 
 
 SIMPLE = """
@@ -168,3 +173,154 @@ class TestPerturbConstant:
         ast.parse(rendered)
         assert "time.sleep(0.5)" in rendered
         assert "raise ValueError('boom')" in rendered
+
+
+# -- statement-level rendering against the whole-module oracle -------------------
+
+SYNTHETIC = '''"""Module docstring."""
+import functools
+
+LIMIT = 3
+
+
+def traced(function):
+    @functools.wraps(function)
+    def wrapper(*args):
+        return function(*args)
+    return wrapper
+
+
+@traced
+def total(values):
+    """Sum the values."""
+    result = 0
+    for value in values:
+        result += value
+    if result > LIMIT:
+        return result
+    return LIMIT
+
+
+class Store:
+    """A keyed store."""
+
+    def __init__(self):
+        self.items = {}
+
+    def put(self, key, value):
+        self.items[key] = value
+        return True
+'''
+
+
+def oracle_unparse(tree: ast.Module) -> str:
+    """The whole-module render every mutation used before statement splicing."""
+    text = ast.unparse(ast.fix_missing_locations(tree))
+    return text if text.endswith("\n") else text + "\n"
+
+
+def oracle_mutants(source: str) -> list[str]:
+    """``exhaustive_mutants`` through a fresh parse and a whole-module unparse per point."""
+    normal = oracle_unparse(ast.parse(source))
+    rng = SeededRNG(0, namespace="injector")
+    mutants = []
+    for index, point in enumerate(InjectionPointLocator(all_operators()).scan(source).points):
+        operator = get_operator(point.operator)
+        tree = ast.parse(source)
+        try:
+            function = operator._locate_function(tree, point)
+            operator._mutate(tree, function, point, rng.fork(f"mutant:{index}"), {})
+        except InjectionError:
+            continue
+        mutated = oracle_unparse(tree)
+        if mutated not in (source, normal):
+            mutants.append(mutated)
+    return mutants
+
+
+def oracle_splice(source: str, function_name: str, new_function_source: str) -> str:
+    tree = ast.parse(source)
+    target = ast_utils.find_function(tree, function_name)
+    replacement = ast.parse(new_function_source).body[0]
+    target.args = replacement.args
+    target.body = replacement.body
+    return oracle_unparse(tree)
+
+
+def spliceable(node: ast_utils.FunctionNode) -> str:
+    """Source of ``node`` with one statement added at the top of its body."""
+    changed = copy.deepcopy(node)
+    changed.body.insert(0, ast.parse("print('spliced')").body[0])
+    return ast.unparse(changed)
+
+
+def shared_dump(source: str) -> str:
+    return ast.dump(ast_utils.statement_model(source).tree, include_attributes=True)
+
+
+def target_source(name: str) -> str:
+    return SYNTHETIC if name == "synthetic" else get_target(name).build_source()
+
+
+class TestStatementRender:
+    @pytest.mark.parametrize("name", [*target_names(), "synthetic"])
+    def test_exhaustive_mutants_match_whole_module_oracle(self, name):
+        source = target_source(name)
+        before = shared_dump(source)
+        mutants = ProgrammableInjector().exhaustive_mutants(source)
+        assert [mutant.patch.mutated for mutant in mutants] == oracle_mutants(source)
+        assert shared_dump(source) == before
+
+    @pytest.mark.parametrize("name", [*target_names(), "synthetic"])
+    def test_every_function_splice_matches_whole_module_oracle(self, name):
+        source = target_source(name)
+        before = shared_dump(source)
+        tree = ast.parse(source)
+        for node, class_name in ast_utils.iter_functions(tree):
+            for function_name in {node.name, f"{class_name}.{node.name}" if class_name else node.name}:
+                new_source = spliceable(node)
+                expected = oracle_splice(source, function_name, new_source)
+                assert ast_utils.replace_function_source(source, function_name, new_source) == expected
+        assert shared_dump(source) == before
+
+    def test_threads_share_the_cached_tree_safely(self):
+        source = get_target("bank").build_source()
+        expected = [mutant.patch.mutated for mutant in ProgrammableInjector().exhaustive_mutants(source)]
+        before = shared_dump(source)
+        results: list[list[str]] = []
+
+        def work():
+            results.append([m.patch.mutated for m in ProgrammableInjector().exhaustive_mutants(source)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 4
+        assert shared_dump(source) == before
+
+    def test_synthetic_mutants_cover_module_level_inserts(self):
+        texts = [mutant.patch.mutated for mutant in ProgrammableInjector().exhaustive_mutants(SYNTHETIC)]
+        # ensure_import keeps the docstring first ...
+        assert any(text.startswith('"""Module docstring."""\nimport time\n') for text in texts)
+        # ... while the corrupt-return helper is inserted ahead of it, where
+        # the docstring renders as a plain string expression.
+        pushed = [text for text in texts if text.startswith("def _injected_corrupt(")]
+        assert pushed and all("\n'Module docstring.'\nimport functools\n" in text for text in pushed)
+
+    def test_render_module_of_inserted_and_reordered_statements(self):
+        tree = ast_utils.statement_model(SYNTHETIC).tree
+        fresh = ast.parse("import os").body[0]
+        for body in ([fresh, *tree.body], [*tree.body[1:], tree.body[0]], [tree.body[2], fresh], []):
+            expected = oracle_unparse(ast.Module(body=copy.deepcopy(body), type_ignores=[]))
+            assert ast_utils.render_module(SYNTHETIC, body) == expected
+
+    def test_normalised_source_is_the_unchanged_render(self):
+        assert ast_utils.normalised_source(SYNTHETIC) == oracle_unparse(ast.parse(SYNTHETIC))

@@ -9,6 +9,7 @@ import pytest
 from repro.llm import CodeGrammar, DecisionVector, reference_decisions
 from repro.llm.decisions import DECISION_SLOTS
 from repro.nlp import PromptBuilder
+from repro.targets import get_target
 from repro.types import FaultType
 
 
@@ -164,6 +165,29 @@ class TestPlacement:
         raise_index = next(i for i, line in enumerate(lines) if "raise" in line)
         return_index = next(i for i, line in enumerate(lines) if line.strip().startswith("return"))
         assert raise_index < return_index
+
+    @pytest.mark.parametrize("template", ["exception", "timeout", "delay"])
+    def test_before_return_indents_block_to_a_nested_return(
+        self, grammar, extractor, prompt_builder, analyzer, template
+    ):
+        # kvstore.delete's last return sits inside ``with _lock:``.
+        module = get_target("kvstore").build_source()
+        text = "make delete fail with an unhandled exception"
+        spec = extractor.extract_from_text(text, module)
+        context = analyzer.analyze(module)
+        analyzer.select_function(context, text, hint="delete")
+        prompt = prompt_builder.build(spec, context)
+        rendered = grammar.render(prompt, decisions_for(template, placement="before_return"))
+        lines = rendered.function_source.splitlines()
+        return_index = max(i for i, line in enumerate(lines) if line.strip().startswith("return"))
+        assert lines[return_index] == "        return True"
+        block_start = return_index - 1
+        while lines[block_start].strip() != "_stats['deletes'] += 1":
+            block_start -= 1
+        block = lines[block_start + 1 : return_index]
+        assert block and all(line.startswith("        ") for line in block)
+        ast.parse(rendered.function_source)
+        ast.parse(rendered.module_source)
 
     def test_original_body_is_preserved_for_body_start(self, grammar, sample_prompt):
         rendered = grammar.render(sample_prompt, decisions_for("delay", placement="body_start"))

@@ -14,7 +14,7 @@ from repro.rlhf import (
     RewardedSample,
     SimulatedTester,
     spec_with_feedback,
-    tester_pool,
+    tester_pool as make_tester_pool,  # aliased: pytest collects `test*` names
 )
 from repro.types import HandlingStyle, TriggerKind
 
@@ -77,7 +77,7 @@ class TestSimulatedTester:
         assert ratings == sorted(ratings, reverse=True)
 
     def test_tester_pool_has_default_profiles(self):
-        pool = tester_pool()
+        pool = make_tester_pool()
         assert len(pool) == len(DEFAULT_PROFILES)
         assert {tester.profile.name for tester in pool} == {profile.name for profile in DEFAULT_PROFILES}
 
@@ -142,7 +142,7 @@ class TestRLHFTrainer:
         generator = FaultGenerator(ModelConfig(constrain_to_spec=False))
         trainer = RLHFTrainer(
             generator,
-            tester_pool(),
+            make_tester_pool(),
             config=RLHFConfig(iterations=2, candidates_per_iteration=3),
         )
         report = trainer.run(prompts)
@@ -163,5 +163,5 @@ class TestRLHFTrainer:
         assert report.final_alignment >= initial - 0.05
 
     def test_alignment_of_empty_prompt_list_is_zero(self, fault_generator):
-        trainer = RLHFTrainer(fault_generator, tester_pool(), config=RLHFConfig(iterations=1))
+        trainer = RLHFTrainer(fault_generator, make_tester_pool(), config=RLHFConfig(iterations=1))
         assert trainer.alignment([]) == 0.0
