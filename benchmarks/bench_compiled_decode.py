@@ -1,9 +1,10 @@
 """BENCH_COMPILED_DECODE — compiled grammar automatons vs interpreted decoding.
 
-The interpreted constrained-decoding path re-derives every prompt's constraint
+The interpreted constrained decoder (the oracle in
+``tests/oracles/interpreted_decode.py``) re-derives every prompt's constraint
 set per call, copies the policy's probability matrices to one-hot the pinned
 rows, and re-runs temperature/truncation maths for every sampled attempt of
-every slot.  The compiled path (``repro.llm.compiled_grammar``) compiles each
+every slot.  The library's compiled path (``repro.llm.compiled_grammar``) compiles each
 prompt's constraints once into a cached :class:`DecisionAutomaton`, jumps
 forward through force-determined slots, and replays sampled draws through
 precomputed :class:`DecodePlan` CDF tables.
@@ -37,6 +38,7 @@ from repro.rng import SeededRNG
 from repro.targets import get_target
 
 from conftest import write_result
+from oracles.interpreted_decode import InterpretedGenerator
 
 QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
 
@@ -87,8 +89,8 @@ def build_prompts():
 
 
 def make_generator(compiled: bool) -> FaultGenerator:
-    config = ModelConfig(compiled_decode=compiled)
-    return FaultGenerator(config, rng=SeededRNG(17, namespace="generator"))
+    generator_class = FaultGenerator if compiled else InterpretedGenerator
+    return generator_class(ModelConfig(), rng=SeededRNG(17, namespace="generator"))
 
 
 def rng_state(generator: FaultGenerator):
@@ -111,9 +113,8 @@ def assert_rendered_identical(prompt, interpreted_result, compiled_result, gramm
 def measure_generation_decode(prompts):
     """The decode-bound slice: distributions + diverse candidate decoding.
 
-    The interpreted reference is exactly what the library does without
-    automatons: derive constrained per-prompt distributions, then run
-    temperature/truncation per sampled attempt.  Rendering is excluded from
+    The interpreted reference derives constrained per-prompt distributions,
+    then runs temperature/truncation per sampled attempt.  Rendering is excluded from
     the timed region on both sides — the render cache is decode-independent
     and would drown the decode cost being measured.
     """
@@ -136,7 +137,7 @@ def measure_generation_decode(prompts):
     started = time.perf_counter()
     compiled_rounds = []
     for _round in range(DECODE_ROUNDS):
-        distributions = compiled.prompt_distributions(prompts, constrained=False)
+        distributions = compiled.prompt_distributions(prompts)
         row_results = []
         for row, prompt in enumerate(prompts):
             row_distributions = {slot: matrix[row] for slot, matrix in distributions.items()}

@@ -5,7 +5,7 @@ Two promises from docs/RESILIENCE.md are measured and gated:
 * ``fault_free`` — the supervised execution path (liveness checks,
   requeue-on-death bookkeeping, chaos hooks compiled in but disabled) must
   cost **under 10% wall-clock overhead** against the unsupervised legacy
-  path on a healthy pool.  Gated via the ratio
+  dispatch (``tests/oracles/legacy_pool.py``) on a healthy pool.  Gated via the ratio
   ``unsupervised_seconds / supervised_seconds >= 0.9`` (medians over
   repeated batches, so scheduler noise does not fail the build).
 * ``chaos_recovery`` — with the self-chaos harness SIGKILLing workers,
@@ -28,6 +28,7 @@ from repro.execution import WorkerPool
 from repro.targets import get_target
 
 from conftest import write_result
+from oracles.legacy_pool import LegacyWorkerPool
 
 QUICK = os.environ.get("BENCH_QUICK", "") not in ("", "0")
 
@@ -57,11 +58,13 @@ def _stable(payload: dict) -> dict:
     return stable
 
 
-def _run_batches(resilience: ResilienceConfig, sources: list[str]) -> tuple[list[float], list[list[dict]], dict]:
+def _run_batches(
+    resilience: ResilienceConfig, sources: list[str], pool_class: type[WorkerPool] = WorkerPool
+) -> tuple[list[float], list[list[dict]], dict]:
     """Timed repeated batches on one pool → (seconds per batch, payloads, stats)."""
     seconds: list[float] = []
     payload_runs: list[list[dict]] = []
-    with WorkerPool(
+    with pool_class(
         max_workers=WORKERS, task_timeout_seconds=30.0, resilience=resilience
     ) as pool:
         # One throwaway batch so worker spawn / import cost is not measured.
@@ -77,11 +80,9 @@ def _run_batches(resilience: ResilienceConfig, sources: list[str]) -> tuple[list
 
 def measure_fault_free_overhead(sources: list[str]) -> dict:
     """Supervised (chaos off) vs unsupervised legacy dispatch, healthy pool."""
-    supervised_seconds, supervised_runs, _ = _run_batches(
-        ResilienceConfig(supervise=True), sources
-    )
+    supervised_seconds, supervised_runs, _ = _run_batches(ResilienceConfig(), sources)
     unsupervised_seconds, unsupervised_runs, _ = _run_batches(
-        ResilienceConfig(supervise=False), sources
+        ResilienceConfig(), sources, pool_class=LegacyWorkerPool
     )
     for run_a, run_b in zip(supervised_runs, unsupervised_runs):
         assert [_stable(p) for p in run_a] == [_stable(p) for p in run_b]
@@ -99,11 +100,9 @@ def measure_fault_free_overhead(sources: list[str]) -> dict:
 
 def measure_chaos_recovery(sources: list[str]) -> dict:
     """Chaotic batches must converge on the fault-free payload bytes."""
-    baseline_seconds, baseline_runs, _ = _run_batches(
-        ResilienceConfig(supervise=True), sources
-    )
+    baseline_seconds, baseline_runs, _ = _run_batches(ResilienceConfig(), sources)
     chaos_seconds, chaos_runs, chaos_stats = _run_batches(
-        ResilienceConfig(supervise=True, chaos=CHAOS), sources
+        ResilienceConfig(chaos=CHAOS), sources
     )
     identical = all(
         [_stable(p) for p in chaotic] == [_stable(p) for p in clean]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,11 @@ from repro import (
 )
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+# The reference oracles some benchmarks time against live with the tests
+# (``tests/oracles/``); appended, not prepended, so ``tests/conftest.py``
+# never shadows this module.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
 
 #: Quick-mode (CI smoke) runs write to ``results/quick/`` — an ignored
 #: scratch directory — so they can never clobber the committed full-mode

@@ -615,11 +615,8 @@ class FaultInjectionEngine:
         if not live:
             return
 
-        compiled = self.config.model.compiled_decode
         try:
-            distributions = self.generator.prompt_distributions(
-                [p for _, p in live], constrained=not compiled
-            )
+            distributions = self.generator.prompt_distributions([p for _, p in live])
         except ReproError as exc:
             for ticket, _prompt in live:
                 self._resolve_error(ticket, exc, dispatch_started)
@@ -633,7 +630,6 @@ class FaultInjectionEngine:
             row_distributions = {slot: matrix[row] for slot, matrix in distributions.items()}
             decode_started = time.monotonic()
             try:
-                automaton = self.generator.compiler.compile(prompt) if compiled else None
                 candidate = self.generator.decode_prompt(
                     prompt,
                     row_distributions,
@@ -642,7 +638,6 @@ class FaultInjectionEngine:
                     temperature=request.temperature,
                     top_k=request.top_k,
                     top_p=request.top_p,
-                    automaton=automaton,
                 )
             except ReproError as exc:
                 self._resolve_error(ticket, exc, dispatch_started)

@@ -7,10 +7,18 @@ deep inside a training loop or an injection campaign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from typing import Any, Mapping
 
 from .errors import ConfigurationError
+
+
+def _known_keys(klass: type, data: Mapping[str, Any], section: str) -> Mapping[str, Any]:
+    """``data`` unchanged, or a :class:`ConfigurationError` naming its first unknown key."""
+    unknown = sorted(set(data) - {item.name for item in fields(klass)})
+    if unknown:
+        raise ConfigurationError(f"unknown key {unknown[0]!r} in the {section} section")
+    return data
 
 
 @dataclass
@@ -23,11 +31,8 @@ class ModelConfig:
     :class:`~repro.llm.grammar.CodeGrammar`, and
     :class:`~repro.llm.compiled_grammar.GrammarCompiler` (LRU entries; ``0``
     disables a cache entirely, which the benchmarks use for the uncached
-    per-sample reference path).  ``compiled_decode`` routes generation
-    through the compiled-grammar decode engine (cached decision automatons
-    with jump-forward over force-determined slots); it is behaviourally
-    equivalent to the interpreted path — identical faults and RNG streams —
-    and exists as a flag for the ablation benchmark and differential tests.
+    reference path).  Generation decodes through the compiled grammar:
+    cached decision automatons with jump-forward over force-determined slots.
     """
 
     embedding_dim: int = 32
@@ -42,7 +47,6 @@ class ModelConfig:
     spec_constraint_threshold: float = 0.3
     encoder_cache_size: int = 2048
     render_cache_size: int = 1024
-    compiled_decode: bool = True
     compiled_cache_size: int = 512
 
     def __post_init__(self) -> None:
@@ -159,7 +163,9 @@ class DistributedConfig:
     ``heartbeat_interval_seconds`` while executing — is declared lost and its
     lease requeued under the :class:`ResilienceConfig` retry budget.  When no
     workers at all are connected for ``worker_wait_seconds`` during an active
-    batch, outstanding tasks fail with error payloads instead of hanging.
+    batch, outstanding tasks fail with error payloads instead of hanging; the
+    same bound caps how long the first batch waits for a freshly spawned
+    fleet to register in full.
     """
 
     host: str = "127.0.0.1"
@@ -321,8 +327,8 @@ class ChaosConfig:
 class ResilienceConfig:
     """Failure-handling behaviour of the serving and execution planes.
 
-    ``supervise`` turns on the worker pool's supervision loop (proactive
-    liveness checks, requeue-on-worker-death, poison-task quarantine);
+    The worker pool always supervises its workers (proactive liveness
+    checks, requeue-on-worker-death, poison-task quarantine).
     ``task_retry_budget`` bounds how often one task may be re-executed after
     its worker died, and ``quarantine_threshold`` is how many worker deaths
     one task may cause before it is failed individually instead of recycling
@@ -333,7 +339,6 @@ class ResilienceConfig:
     self-chaos harness (:class:`ChaosConfig`).
     """
 
-    supervise: bool = True
     task_retry_budget: int = 3
     quarantine_threshold: int = 2
     retry_max_attempts: int = 3
@@ -348,7 +353,7 @@ class ResilienceConfig:
 
     def __post_init__(self) -> None:
         if isinstance(self.chaos, Mapping):
-            self.chaos = ChaosConfig(**self.chaos)
+            self.chaos = ChaosConfig(**_known_keys(ChaosConfig, self.chaos, "resilience.chaos"))
         if self.task_retry_budget < 0:
             raise ConfigurationError("task_retry_budget must be non-negative")
         if self.quarantine_threshold <= 0:
@@ -572,7 +577,9 @@ class PipelineConfig:
             value = data.get(key, {})
             if not isinstance(value, Mapping):
                 raise ConfigurationError(f"{key} section must be a mapping")
-            return klass(**value)
+            return klass(**_known_keys(klass, value, key))
+
+        _known_keys(cls, data, "top-level")
 
         return cls(
             model=build(ModelConfig, "model"),

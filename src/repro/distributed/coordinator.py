@@ -306,7 +306,7 @@ class DistributedPool:
         if not module_sources:
             return []
         timeout = float(timeout_seconds if timeout_seconds is not None else self.task_timeout_seconds)
-        chaos = chaos_payload(self.resilience.chaos) if self.resilience.supervise else None
+        chaos = chaos_payload(self.resilience.chaos)
         tasks = [
             {
                 "task_id": str(index),
@@ -651,6 +651,12 @@ class DistributedPool:
     # -- localhost fleet ---------------------------------------------------------------
 
     def _ensure_fleet(self) -> None:
+        """Spawn the localhost fleet once and wait until all of it has registered.
+
+        Without the wait the first batch would lease everything to whichever
+        worker registers first.  The wait is bounded by
+        ``worker_wait_seconds``; a fleet still short after it starts anyway.
+        """
         if self._fleet is not None or not self.distributed.spawn_workers:
             return
         from .launcher import LocalWorkerFleet
@@ -662,3 +668,11 @@ class DistributedPool:
             capacity=self.distributed.worker_capacity,
         )
         self._fleet.start()
+        deadline = time.monotonic() + self.distributed.worker_wait_seconds
+        with self._lock:
+            while not self._closed:
+                ready = sum(1 for link in self._workers.values() if link.ready)
+                remaining = deadline - time.monotonic()
+                if ready >= workers or remaining <= 0:
+                    return
+                self._wake.wait(timeout=remaining)

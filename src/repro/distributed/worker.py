@@ -31,7 +31,7 @@ import time
 from typing import Any, Mapping
 
 from ..config import ExecutionConfig, IntegrationConfig, ResilienceConfig
-from ..errors import RequestError, SandboxError
+from ..errors import SandboxError
 from ..integration.runner import RunObservation, SandboxRunner
 from ..resilience.chaos import CRASH, DELAY, DROP, should_inject
 from .protocol import (
@@ -177,13 +177,9 @@ class RemoteWorker:
             0 after a graceful GOODBYE (either side), 1 when the connection
             was lost unexpectedly.
         """
-        try:
-            self.connect()
-        except (ConnectionError, RequestError):
-            self.close()
-            raise
         code = 1
         try:
+            self.connect()
             while True:
                 try:
                     frame = recv_frame(self._sock)
@@ -303,12 +299,19 @@ class RemoteWorker:
             send_frame(self._sock, frame)
 
 
+def _exit_on_sigterm(_signum, _frame) -> None:
+    raise SystemExit(0)
+
+
 def run_worker(
     connect: str,
     max_workers: int = 1,
     worker_id: str | None = None,
 ) -> int:
     """Entry point behind ``python -m repro worker`` — serve until GOODBYE.
+
+    Must run on the main thread: SIGTERM becomes a clean exit (code 0)
+    that releases the socket and the inner sandbox pool first.
 
     Args:
         connect: Coordinator address as ``HOST:PORT``.
@@ -321,5 +324,9 @@ def run_worker(
     from .launcher import parse_address
 
     host, port = parse_address(connect)
+    # SIGTERM (how a LocalWorkerFleet stops its workers) must unwind through
+    # RemoteWorker.close(): dying on the default action would orphan the
+    # inner pool's forked workers.
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     worker = RemoteWorker(host, port, max_workers=max_workers, worker_id=worker_id)
     return worker.run()

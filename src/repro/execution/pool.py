@@ -16,7 +16,7 @@ Isolation properties match subprocess mode where it matters:
 * results are returned in submission order regardless of completion order, so
   campaign reports are deterministic for a given seed.
 
-On top of that sits a supervision loop (on by default, see
+On top of that sits a supervision loop (bounds in
 :class:`~repro.config.ResilienceConfig`): worker liveness is checked
 proactively before each batch, tasks whose worker died are requeued under a
 bounded retry budget, and a poison task that repeatedly kills workers is
@@ -35,7 +35,12 @@ from __future__ import annotations
 import os
 import signal
 import threading
-from concurrent.futures import CancelledError, ProcessPoolExecutor, TimeoutError as FutureTimeoutError
+from concurrent.futures import (
+    CancelledError,
+    Future,
+    ProcessPoolExecutor,
+    TimeoutError as FutureTimeoutError,
+)
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any
 
@@ -89,7 +94,13 @@ def _alarm_handler(_signum, _frame):  # pragma: no cover - runs in worker proces
 
 
 def _pool_initializer() -> None:  # pragma: no cover - runs in worker processes
-    """Warm the library import once per worker (a no-op under fork)."""
+    """Warm the library import once per worker (a no-op under fork).
+
+    Also restores the default SIGTERM action a forked worker may have
+    inherited a handler for (``python -m repro worker`` installs one), so
+    terminating a worker always kills it, even mid-task.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     import repro.targets  # noqa: F401
 
 
@@ -141,15 +152,20 @@ def _execute_task(task: dict[str, Any]) -> dict[str, Any]:
             signal.signal(signal.SIGALRM, previous_handler)
 
 
+def _terminate(executor: ProcessPoolExecutor) -> None:
+    """Kill every worker of ``executor`` and release it without waiting."""
+    for process in list(getattr(executor, "_processes", {}).values()):
+        process.terminate()
+    executor.shutdown(wait=False, cancel_futures=True)
+
+
 class WorkerPool:
     """A persistent pool of sandbox worker processes serving fault runs.
 
     The executor is created lazily and rebuilt automatically if a task wedges
     or kills a worker, so one pathological fault cannot poison a campaign.
-    With supervision enabled (the default), victims of a worker death are
-    requeued under a bounded retry budget and repeat offenders are
-    quarantined; with ``resilience.supervise`` off the pool falls back to the
-    original single-retry-pass behaviour.
+    Victims of a worker death are requeued under a bounded retry budget and
+    repeat offenders are quarantined.
     """
 
     def __init__(
@@ -165,9 +181,8 @@ class WorkerPool:
                 :func:`resolve_workers`.
             task_timeout_seconds: Default per-task time budget, enforced
                 inside each worker with ``SIGALRM``.
-            resilience: Supervision / chaos behaviour; defaults to
-                :class:`~repro.config.ResilienceConfig` (supervision on,
-                chaos off).
+            resilience: Supervision bounds / chaos behaviour; defaults to
+                :class:`~repro.config.ResilienceConfig` (chaos off).
 
         Raises:
             SandboxError: If ``task_timeout_seconds`` is not positive.
@@ -203,10 +218,7 @@ class WorkerPool:
         if executor is None:
             return
         self.pool_rebuilds += 1
-        processes = list(getattr(executor, "_processes", {}).values())
-        for process in processes:
-            process.terminate()
-        executor.shutdown(wait=False, cancel_futures=True)
+        _terminate(executor)
 
     def check_liveness(self) -> bool:
         """Proactively verify the pool's workers are alive.
@@ -240,12 +252,18 @@ class WorkerPool:
         }
 
     def shutdown(self) -> None:
-        """Dispose of the worker processes (idempotent)."""
+        """Terminate the worker processes (idempotent).
+
+        Workers are killed, not asked to finish: a process that exits right
+        after this call (a remote worker on SIGTERM or a chaos crash) gets no
+        chance to hand idle workers their stop sentinel, and a forked worker
+        holds both ends of its task pipe, so it would wait forever.
+        """
         with self._lock:
             executor = self._executor
             self._executor = None
         if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
+            _terminate(executor)
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -285,11 +303,8 @@ class WorkerPool:
             rebuilt pool.
         """
         timeout = float(timeout_seconds if timeout_seconds is not None else self.task_timeout_seconds)
-        supervised = self.resilience.supervise
-        # Chaos needs the supervision loop to requeue its victims, so it is
-        # inert on the legacy path.
         chaos = None
-        if supervised and self.resilience.chaos.any_faults():
+        if self.resilience.chaos.any_faults():
             from ..resilience.chaos import chaos_payload
 
             chaos = chaos_payload(self.resilience.chaos)
@@ -306,11 +321,7 @@ class WorkerPool:
             }
             for index, source in enumerate(module_sources)
         ]
-        backstop = timeout + _BACKSTOP_GRACE_SECONDS
-        if supervised:
-            results = self._run_batch_supervised(tasks, backstop)
-        else:
-            results = self._run_batch_legacy(tasks, backstop)
+        results = self._run_batch_supervised(tasks, timeout + _BACKSTOP_GRACE_SECONDS)
         self.tasks_executed += len(tasks)
         return results
 
@@ -342,7 +353,7 @@ class WorkerPool:
             if grouped:
                 executor = self._ensure_executor()
                 futures = [
-                    (index, executor.submit(_execute_task, {**tasks[index], "attempt": attempts[index]}))
+                    (index, self._submit(executor, {**tasks[index], "attempt": attempts[index]}))
                     for index in grouped
                 ]
                 for index, future in futures:
@@ -411,6 +422,21 @@ class WorkerPool:
         self.retries += 1
         requeued.append(index)
 
+    @staticmethod
+    def _submit(executor: ProcessPoolExecutor, task: dict[str, Any]) -> Future:
+        """Submit one task; a pool that broke mid-round yields a failed future.
+
+        A worker killed by an earlier task of the same round can break the
+        executor before the round is fully submitted; the remaining tasks
+        then count as victims of that death instead of aborting the batch.
+        """
+        try:
+            return executor.submit(_execute_task, task)
+        except BrokenProcessPool as exc:
+            failed: Future = Future()
+            failed.set_exception(exc)
+            return failed
+
     def _collect(self, future, backstop: float) -> dict[str, Any]:
         """Resolve one parallel-round future into a status payload."""
         try:
@@ -432,46 +458,3 @@ class WorkerPool:
             self._recycle()
             return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
         return self._collect(future, backstop)
-
-    # -- legacy single-retry-pass path (resilience.supervise = False) --------------
-
-    def _run_batch_legacy(self, tasks: list[dict[str, Any]], backstop: float) -> list[dict[str, Any]]:
-        results: list[dict[str, Any] | None] = [None] * len(tasks)
-        executor = self._ensure_executor()
-        futures = [executor.submit(_execute_task, task) for task in tasks]
-        needs_retry: list[int] = []
-        for index, future in enumerate(futures):
-            try:
-                results[index] = future.result(timeout=backstop)
-            except FutureTimeoutError:
-                results[index] = {"status": "timeout"}
-                self._recycle()  # outstanding futures fail over to the retry pass
-            except (BrokenProcessPool, CancelledError):
-                # A sibling wedged or killed its worker: running futures break,
-                # queued ones are cancelled by the recycle.  Both rerun below.
-                self._recycle()
-                needs_retry.append(index)
-            except Exception as exc:  # noqa: BLE001 - submission/pickling failures
-                results[index] = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
-
-        # Retry pass: tasks whose sibling broke the pool rerun one at a time on
-        # a fresh executor, so a task that itself kills workers only fails itself.
-        for index in needs_retry:
-            results[index] = self._run_single(tasks[index], backstop)
-
-        return [payload if payload is not None else {"status": "error", "error": "task produced no result"} for payload in results]
-
-    def _run_single(self, task: dict[str, Any], backstop: float) -> dict[str, Any]:
-        try:
-            future = self._ensure_executor().submit(_execute_task, task)
-            return future.result(timeout=backstop)
-        except FutureTimeoutError:
-            self._recycle()
-            return {"status": "timeout"}
-        except (BrokenProcessPool, CancelledError):
-            # A second broken pool must fail this task alone, never raise out
-            # of the batch: recycle so the *next* retry gets a fresh executor.
-            self._recycle()
-            return {"status": "error", "error": "worker process died while executing the task"}
-        except Exception as exc:  # noqa: BLE001
-            return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +40,13 @@ def load_checkpoint(directory: str | Path, name: str = "policy") -> PolicyNetwor
         raise CheckpointError(f"checkpoint {name!r} not found in {directory}")
     try:
         metadata = json.loads(meta_path.read_text())
-        config = ModelConfig(**metadata["config"])
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        # Checkpoints saved by older versions carry fields ModelConfig has
+        # since retired (a decode-path flag); they configure nothing now.
+        known = {item.name for item in fields(ModelConfig)}
+        config = ModelConfig(
+            **{key: value for key, value in metadata["config"].items() if key in known}
+        )
+    except (json.JSONDecodeError, AttributeError, KeyError, TypeError) as exc:
         raise CheckpointError(f"invalid checkpoint metadata in {meta_path}: {exc}") from exc
     with np.load(array_path) as arrays:
         state = {key: arrays[key] for key in arrays.files}

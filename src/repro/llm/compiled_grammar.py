@@ -1,11 +1,8 @@
 """Compiled fault-grammar automatons for constrained decoding.
 
-The interpreted constrained-decoding path re-derives every prompt's decoding
-constraints on each call and applies them by copying the policy's probability
-matrices and overwriting constrained rows with one-hots
-(:meth:`~repro.llm.generator.FaultGenerator._constrained_distributions`).
-That work is pure per-prompt: the constraint set depends only on the prompt's
-spec and feedback directives, never on the sampled path.  This module borrows
+A prompt's decoding constraints depend only on its spec and feedback
+directives, never on the sampled path, so they are compiled once per prompt
+instead of being re-applied to every probability matrix.  This module borrows
 the compiled-grammar idiom of constrained-decoding inference stacks (compile
 once per grammar, mask invalid tokens per step, *jump forward* through
 force-determined runs):
@@ -23,16 +20,17 @@ force-determined runs):
   so the engine can persist warm automatons alongside rendered faults;
 * :class:`DecodePlan` — per-call sampling tables (tempered/truncated CDFs)
   that let repeated sampling replay a categorical draw with one uniform and
-  one ``searchsorted`` per slot, bit-identical to the interpreted
-  ``Generator.choice`` stream.
+  one ``searchsorted`` per slot, the formula ``Generator.choice`` applies.
 
-Equivalence contract: for the same prompt, distributions, seed, and sampling
-parameters, the compiled path consumes the decoder RNG exactly like the
-interpreted path (one uniform per slot per sampled attempt, none for greedy)
-and selects identical decision indices — including the ~1e-12 probability
-tail that temperature scaling leaves on non-forced values of a one-hot slot,
-which the plan reproduces by replaying the tempered one-hot CDF instead of
-short-circuiting to the forced index.
+Equivalence contract, checked against the interpreted constrained decoder in
+``tests/oracles/`` (which one-hots pinned slots in copied matrices and samples
+with ``Generator.choice``): for the same prompt, distributions, seed, and
+sampling parameters, decoding consumes the RNG exactly like that decoder (one
+uniform per slot per sampled attempt, none for greedy) and selects identical
+decision indices — including the ~1e-12 probability tail that temperature
+scaling leaves on non-forced values of a one-hot slot, which the plan
+reproduces by replaying the tempered one-hot CDF instead of short-circuiting
+to the forced index.
 """
 
 from __future__ import annotations
@@ -45,11 +43,6 @@ from ..config import ModelConfig
 from ..nlp.prompt_builder import GenerationPrompt
 from .cache import KeyedLruCache
 from .decisions import DECISION_SLOTS
-
-#: Log-probability an interpreted one-hot slot contributes to the joint
-#: (``log(1.0 + 1e-12)``); forced-slot readback must reproduce it bit-exactly.
-FORCED_LOGPROB = float(np.log(1.0 + 1e-12))
-
 
 def feedback_forced_slots(prompt: GenerationPrompt) -> dict[str, str]:
     """Decision slots pinned by explicit tester feedback directives.
@@ -107,8 +100,7 @@ def spec_constraint(prompt: GenerationPrompt, config: ModelConfig) -> dict[str, 
 def constraint_slots(prompt: GenerationPrompt, config: ModelConfig) -> dict[str, str]:
     """Every decision slot the grammar pins for ``prompt`` (feedback wins).
 
-    Merged exactly as the interpreted path does: the spec constraint first,
-    explicit feedback directives layered on top.
+    The spec constraint first, explicit feedback directives layered on top.
     """
     constraints = spec_constraint(prompt, config)
     constraints.update(feedback_forced_slots(prompt))
@@ -169,32 +161,23 @@ class DecisionAutomaton:
         """Whether decision ``index`` is valid for ``slot`` under the masks."""
         return bool(self.masks[slot][index])
 
-    def constrain(self, distributions: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """The interpreted-equivalent constrained copies of raw distributions.
 
-        Reference adapter (and masking fallback for partially-masked slots):
-        forced slots become exact one-hots, free slots are copied verbatim —
-        byte-identical to what the interpreted
-        ``_constrained_distributions`` produces.
-        """
-        constrained = {slot: probs.copy() for slot, probs in distributions.items()}
-        for slot, index in self.forced.items():
-            constrained[slot][:] = 0.0
-            constrained[slot][index] = 1.0
-        return constrained
+#: The automaton of a prompt with no constraints: every slot free, nothing
+#: forced, so decoding never mutates it.
+UNCONSTRAINED = DecisionAutomaton.from_constraints({})
 
 
 class DecodePlan:
     """Precomputed per-slot sampling tables for one (distributions, params) pair.
 
-    The interpreted sampler recomputes temperature scaling and top-k/top-p
-    truncation for every attempt of every slot; a plan runs that maths once
-    and replays each categorical draw as ``cdf.searchsorted(u, 'right')`` —
-    the exact formula ``numpy.random.Generator.choice`` applies internally,
-    so replayed indices (and the RNG stream) are bit-identical to the
-    interpreted path.  Forced slots keep a CDF too (the tempered one-hot):
-    burning one uniform through it per attempt reproduces the interpreted
-    stream *and* its residual ~1e-12 tail mass exactly.
+    A plan runs temperature scaling and top-k/top-p truncation once per
+    slot and replays each categorical draw as
+    ``cdf.searchsorted(u, 'right')`` — the exact formula
+    ``numpy.random.Generator.choice`` applies internally, so replayed indices
+    and the RNG stream are those of sampling each attempt from scratch.
+    Forced slots keep a CDF too (the tempered one-hot): burning one uniform
+    through it per attempt keeps the stream aligned *and* reproduces its
+    residual ~1e-12 tail mass exactly.
     """
 
     __slots__ = ("cdfs", "forced")
@@ -229,7 +212,7 @@ class DecodePlan:
             adjusted = Decoder._truncate(adjusted, top_k, top_p)
             mask = automaton.partial_masks.get(slot)
             if mask is not None:
-                # Partially-masked slots (compiled-only semantics): invalid
+                # Partially-masked slots: invalid
                 # decisions get exactly zero mass, so their CDF segment has
                 # zero width and replay can never select them.
                 adjusted = np.where(mask, adjusted, 0.0)

@@ -5,25 +5,24 @@ sampling, top-k and nucleus (top-p) truncation.  The decoder returns both the
 chosen :class:`DecisionVector` and its joint log-probability under the
 *untruncated* distribution, which the RLHF policy-gradient step needs.
 
-Every strategy also has a ``*_batch`` variant operating on ``(B, |slot|)``
-probability matrices (one row per prompt): temperature and truncation are
-applied row-wise with sorts and cumulative sums, and sampling draws one RNG
-vector per slot for the whole batch instead of one scalar per (prompt, slot)
-pair.  Batched greedy decoding is exactly equivalent to per-sample greedy;
-batched sampling draws from the same truncated distributions but consumes the
-RNG stream in a different order, so it is deterministic per batch rather than
-per prompt.
-
-Every strategy additionally accepts a compiled
-:class:`~repro.llm.compiled_grammar.DecisionAutomaton` (and the ``*_batch``
-variants a per-row automaton list).  With an automaton the decoder works on
-the policy's *raw* distributions: force-determined slots are resolved by
-jumping forward through the automaton instead of argmax/sampling machinery,
+Every strategy decodes the policy's *raw* distributions through a compiled
+:class:`~repro.llm.compiled_grammar.DecisionAutomaton` (``None`` means a
+prompt with no constraints): force-determined slots are resolved by jumping
+forward through the automaton instead of argmax/sampling machinery,
 partially-masked slots never select zero-probability decisions, and sampled
-slots replay the interpreted categorical draw through precomputed
-:class:`~repro.llm.compiled_grammar.DecodePlan` CDF tables — consuming the
-``SeededRNG`` stream bit-identically to the interpreted constrained path
-(one uniform per slot per attempt, none for greedy).
+slots replay one categorical draw each through precomputed
+:class:`~repro.llm.compiled_grammar.DecodePlan` CDF tables (one uniform per
+slot per attempt, none for greedy).  The interpreted constrained decoder in
+``tests/oracles/`` is the differential reference for all of this.
+
+Greedy and sampling also have a ``*_batch`` variant operating on
+``(B, |slot|)`` probability matrices (one row per prompt) with a per-row
+automaton list: temperature and truncation are applied row-wise with sorts
+and cumulative sums, and sampling draws one RNG vector per slot for the whole
+batch instead of one scalar per (prompt, slot) pair.  Batched greedy decoding
+picks exactly what per-sample greedy picks; batched sampling draws from the
+same truncated distributions but consumes the RNG stream in a different
+order, so it is deterministic per batch rather than per prompt.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import numpy as np
 from ..config import ModelConfig
 from ..errors import GenerationError
 from ..rng import SeededRNG
-from .compiled_grammar import DecisionAutomaton, DecodePlan
+from .compiled_grammar import UNCONSTRAINED, DecisionAutomaton, DecodePlan
 from .decisions import DECISION_SLOTS, DecisionVector
 
 
@@ -62,16 +61,12 @@ class Decoder:
     ) -> DecodingResult:
         """Pick the argmax value for every slot.
 
-        With a compiled ``automaton`` the input distributions are the *raw*
-        policy outputs: forced slots jump forward to their pinned index
-        without touching the probability vector, partially-masked slots take
-        the argmax over valid entries only, and the result mirrors the
-        interpreted constrained readback exactly (forced slots report
-        probability 1.0).
+        The input distributions are the *raw* policy outputs: forced slots
+        jump forward to their pinned index without touching the probability
+        vector (and report probability 1.0), partially-masked slots take the
+        argmax over valid entries only.
         """
-        if automaton is None:
-            choices = {slot: int(np.argmax(probs)) for slot, probs in distributions.items()}
-            return self._result(distributions, choices, strategy="greedy")
+        automaton = automaton or UNCONSTRAINED
         choices = {}
         for slot, probs in distributions.items():
             index = automaton.forced.get(slot)
@@ -82,7 +77,7 @@ class Decoder:
             else:
                 index = int(np.argmax(probs))
             choices[slot] = index
-        return self._result_compiled(distributions, choices, "greedy", automaton)
+        return self._result(distributions, choices, "greedy", automaton)
 
     def sample(
         self,
@@ -95,28 +90,21 @@ class Decoder:
     ) -> DecodingResult:
         """Sample each slot with temperature / top-k / nucleus truncation.
 
-        With a compiled ``automaton`` each slot's categorical draw is
-        replayed through a :class:`DecodePlan` CDF table instead of the
-        per-attempt temperature/truncation maths.  One uniform is consumed
-        per slot either way — forced slots burn theirs through the tempered
-        one-hot CDF — so the RNG stream and the chosen indices are
-        bit-identical to the interpreted path.  A caller-supplied ``plan``
-        must have been built for these distributions and sampling parameters
-        (:meth:`diverse_candidates` and the dedup-aware generator reuse one
-        plan across attempts and duplicate prompts).
+        Each slot's categorical draw is replayed through a
+        :class:`DecodePlan` CDF table.  One uniform is consumed per slot —
+        forced slots burn theirs through the tempered one-hot CDF — so the
+        RNG stream does not depend on which slots are pinned.  A
+        caller-supplied ``plan`` must have been built for these distributions
+        and sampling parameters (:meth:`diverse_candidates` and the
+        dedup-aware generator reuse one plan across attempts and duplicate
+        prompts).
         """
         temperature = temperature if temperature is not None else self._config.temperature
         top_k = top_k if top_k is not None else self._config.top_k
         top_p = top_p if top_p is not None else self._config.top_p
         if temperature <= 0:
             raise GenerationError("temperature must be positive")
-        if automaton is None:
-            choices: dict[str, int] = {}
-            for slot, probs in distributions.items():
-                adjusted = self._apply_temperature(probs, temperature)
-                adjusted = self._truncate(adjusted, top_k, top_p)
-                choices[slot] = int(self._rng.generator.choice(len(adjusted), p=adjusted))
-            return self._result(distributions, choices, strategy="sample")
+        automaton = automaton or UNCONSTRAINED
         if plan is None:
             plan = DecodePlan.for_sampling(distributions, automaton, temperature, top_k, top_p)
         choices = {}
@@ -125,7 +113,7 @@ class Decoder:
             choices[slot] = plan.replay(slot, uniform)
             if slot in plan.forced:
                 automaton.jump_forward_taken += 1
-        return self._result_compiled(distributions, choices, "sample", automaton)
+        return self._result(distributions, choices, "sample", automaton)
 
     def diverse_candidates(
         self,
@@ -144,16 +132,16 @@ class Decoder:
         their strategy, so downstream diversity statistics can exclude them
         instead of silently double-counting.
 
-        With a compiled ``automaton`` every sampled attempt replays through
-        one shared :class:`DecodePlan` (built once instead of per attempt);
-        ``plan`` and ``first`` let duplicate prompts in a batch additionally
-        share the plan and the RNG-free greedy head across rows.  The
-        sampled stream stays bit-identical to the interpreted path.
+        Every sampled attempt replays through one shared :class:`DecodePlan`
+        (built once instead of per attempt); ``plan`` and ``first`` let
+        duplicate prompts in a batch additionally share the plan and the
+        RNG-free greedy head across rows.
         """
         if count <= 0:
             raise GenerationError("candidate count must be positive")
         effective = temperature or max(self._config.temperature, 1.2)
-        if automaton is not None and plan is None:
+        automaton = automaton or UNCONSTRAINED
+        if plan is None:
             plan = DecodePlan.for_sampling(
                 distributions, automaton, effective, self._config.top_k, self._config.top_p
             )
@@ -186,16 +174,14 @@ class Decoder:
     ) -> list[DecodingResult]:
         """Per-row argmax over ``(B, |slot|)`` distribution matrices.
 
-        Row ``i`` of the result equals ``self.greedy`` on row ``i``'s
-        distributions exactly (``np.argmax`` row-wise is ``np.argmax``
-        per vector).  With per-row compiled ``automatons`` the matrices are
-        the raw policy outputs: forced rows jump forward and only the free
-        rows run the argmax (on a row-gathered submatrix, which is
-        bit-identical to row-wise argmax on the full matrix).
+        Row ``i`` of the result picks what ``self.greedy`` picks on row
+        ``i``'s distributions (``np.argmax`` row-wise is ``np.argmax`` per
+        vector).  Forced rows jump forward and only the free rows run the
+        argmax, on a row-gathered submatrix, which is bit-identical to
+        row-wise argmax on the full matrix.  ``automatons=None`` decodes
+        every row unconstrained.
         """
-        if automatons is None:
-            choices = {slot: np.argmax(probs, axis=1) for slot, probs in distributions.items()}
-            return self._results_batch(distributions, choices, strategy="greedy")
+        automatons = automatons or self._unconstrained_rows(distributions)
         batch = len(automatons)
         choices = {}
         for slot, probs in distributions.items():
@@ -217,7 +203,7 @@ class Decoder:
                         submatrix[position] = np.where(mask, submatrix[position], -np.inf)
                 indices[free] = np.argmax(submatrix, axis=1)
             choices[slot] = indices
-        return self._results_batch_compiled(distributions, choices, "greedy", automatons)
+        return self._results_batch(distributions, choices, "greedy", automatons)
 
     def sample_batch(
         self,
@@ -235,31 +221,18 @@ class Decoder:
         batch of ``B`` prompts costs ``len(slots)`` RNG calls instead of
         ``B * len(slots)``.
 
-        With per-row compiled ``automatons`` the temperature/truncation maths
-        runs only over the free rows (a row-gathered submatrix — row-wise ops
-        make this bit-identical to the full-matrix path), while forced rows
-        replay their draw through one shared tempered one-hot CDF per
-        (slot, forced index).  The uniform vector per slot is drawn exactly
-        as in the interpreted path, so the RNG stream and every selected
-        index match bit-for-bit.
+        The temperature/truncation maths runs only over the free rows (a
+        row-gathered submatrix — row-wise ops make this bit-identical to the
+        full-matrix path), while forced rows replay their draw through one
+        shared tempered one-hot CDF per (slot, forced index).
+        ``automatons=None`` decodes every row unconstrained.
         """
         temperature = temperature if temperature is not None else self._config.temperature
         top_k = top_k if top_k is not None else self._config.top_k
         top_p = top_p if top_p is not None else self._config.top_p
         if temperature <= 0:
             raise GenerationError("temperature must be positive")
-        if automatons is None:
-            choices: dict[str, np.ndarray] = {}
-            for slot, probs in distributions.items():
-                adjusted = self._apply_temperature_rows(probs, temperature)
-                adjusted = self._truncate_rows(adjusted, top_k, top_p)
-                cumulative = np.cumsum(adjusted, axis=1)
-                draws = self._rng.generator.random(probs.shape[0])
-                # Index of the first CDF entry strictly above the draw; the <=
-                # comparison keeps zero-probability prefixes unselectable.
-                indices = np.sum(cumulative <= draws[:, None], axis=1)
-                choices[slot] = np.minimum(indices, probs.shape[1] - 1)
-            return self._results_batch(distributions, choices, strategy="sample")
+        automatons = automatons or self._unconstrained_rows(distributions)
         batch = len(automatons)
         onehot_cumulative: dict[tuple[str, int], np.ndarray] = {}
         choices = {}
@@ -302,39 +275,14 @@ class Decoder:
                 group_indices = np.sum(cumulative_row[None, :] <= draws[group][:, None], axis=1)
                 indices[group] = np.minimum(group_indices, vocabulary - 1)
             choices[slot] = indices
-        return self._results_batch_compiled(distributions, choices, "sample", automatons)
-
-    def diverse_candidates_batch(
-        self,
-        distributions: dict[str, np.ndarray],
-        count: int,
-        temperature: float | None = None,
-        automatons: list[DecisionAutomaton] | None = None,
-    ) -> list[list[DecodingResult]]:
-        """Per-row :meth:`diverse_candidates` over batched distributions.
-
-        Candidate sets are produced row by row in input order, so the RNG
-        stream (and therefore every candidate) is identical to calling
-        :meth:`diverse_candidates` on each prompt's distributions in sequence.
-        With per-row compiled ``automatons`` each row decodes through its
-        automaton (dedup-aware plan sharing across duplicate rows lives in
-        :meth:`repro.llm.FaultGenerator.candidates_batch`).
-        """
-        batch = next(iter(distributions.values())).shape[0] if distributions else 0
-        results: list[list[DecodingResult]] = []
-        for row in range(batch):
-            row_distributions = {slot: probs[row] for slot, probs in distributions.items()}
-            results.append(
-                self.diverse_candidates(
-                    row_distributions,
-                    count,
-                    temperature=temperature,
-                    automaton=automatons[row] if automatons is not None else None,
-                )
-            )
-        return results
+        return self._results_batch(distributions, choices, "sample", automatons)
 
     # -- helpers -----------------------------------------------------------------
+
+    @staticmethod
+    def _unconstrained_rows(distributions: dict[str, np.ndarray]) -> list[DecisionAutomaton]:
+        batch = next(iter(distributions.values())).shape[0] if distributions else 0
+        return [UNCONSTRAINED] * batch
 
     @staticmethod
     def _apply_temperature(probs: np.ndarray, temperature: float) -> np.ndarray:
@@ -403,18 +351,17 @@ class Decoder:
         return adjusted / totals
 
     @staticmethod
-    def _result_compiled(
+    def _result(
         distributions: dict[str, np.ndarray],
         choices: dict[str, int],
         strategy: str,
         automaton: DecisionAutomaton,
     ) -> DecodingResult:
-        """Result readback for compiled decoding over *raw* distributions.
+        """Result readback over *raw* distributions.
 
-        Mirrors the interpreted :meth:`_result` on the constrained copies
-        bit-for-bit: forced slots report the one-hot probability (1.0 when
-        the forced index was selected, 0.0 on the ~1e-12 tempered tail) and
-        the same scalar ``log(p + 1e-12)`` accumulation order.  Values come
+        Forced slots report the one-hot probability (1.0 when the forced
+        index was selected, 0.0 on the ~1e-12 tempered tail); the joint
+        accumulates scalar ``log(p + 1e-12)`` in slot order.  Values come
         straight from the decision schema, so the vector is constructed
         without re-validation.
         """
@@ -438,13 +385,13 @@ class Decoder:
         )
 
     @staticmethod
-    def _results_batch_compiled(
+    def _results_batch(
         distributions: dict[str, np.ndarray],
         choices: dict[str, np.ndarray],
         strategy: str,
         automatons: list[DecisionAutomaton],
     ) -> list[DecodingResult]:
-        """Vectorized result readback for compiled batched decoding.
+        """Vectorized result readback for batched decoding.
 
         Chosen probabilities are gathered per slot in one indexing pass
         (forced rows overridden to their one-hot readback) and the joint
@@ -476,35 +423,3 @@ class Decoder:
                 )
             )
         return results
-
-    def _results_batch(
-        self, distributions: dict[str, np.ndarray], choices: dict[str, np.ndarray], strategy: str
-    ) -> list[DecodingResult]:
-        batch = next(iter(choices.values())).shape[0] if choices else 0
-        return [
-            self._result(
-                {slot: probs[row] for slot, probs in distributions.items()},
-                {slot: int(indices[row]) for slot, indices in choices.items()},
-                strategy=strategy,
-            )
-            for row in range(batch)
-        ]
-
-    @staticmethod
-    def _result(
-        distributions: dict[str, np.ndarray], choices: dict[str, int], strategy: str
-    ) -> DecodingResult:
-        values = {slot: DECISION_SLOTS[slot][index] for slot, index in choices.items()}
-        decisions = DecisionVector.from_dict(values)
-        logprob = 0.0
-        slot_probabilities = {}
-        for slot, index in choices.items():
-            probability = float(distributions[slot][index])
-            slot_probabilities[slot] = probability
-            logprob += float(np.log(probability + 1e-12))
-        return DecodingResult(
-            decisions=decisions,
-            logprob=logprob,
-            slot_probabilities=slot_probabilities,
-            strategy=strategy,
-        )

@@ -104,14 +104,6 @@ class BatchForwardResult:
     def batch_size(self) -> int:
         return int(self.hidden.shape[0])
 
-    def row(self, index: int) -> ForwardResult:
-        """The per-sample view of one batch row (reference-oracle adapter)."""
-        return ForwardResult(
-            features=self.features[index],
-            hidden=self.hidden[index],
-            probabilities={slot: probs[index] for slot, probs in self.probabilities.items()},
-        )
-
     def log_probabilities(self, decisions: Sequence[DecisionVector]) -> np.ndarray:
         """Joint log-probability of one decision assignment per batch row."""
         if len(decisions) != self.batch_size:
@@ -185,11 +177,6 @@ class PolicyNetwork:
     ) -> np.ndarray:
         """Joint log-probability of one decision assignment per feature row."""
         return self.forward_batch(features).log_probabilities(decisions)
-
-    def distributions(self, features: np.ndarray) -> dict[str, np.ndarray]:
-        """Per-slot probability vectors (copies safe for the decoder to modify)."""
-        result = self.forward(features)
-        return {slot: probs.copy() for slot, probs in result.probabilities.items()}
 
     # -- training ----------------------------------------------------------------
 
@@ -277,10 +264,6 @@ class PolicyNetwork:
             self.heads_b[slot] -= scale * gradients.heads_b[slot]
         self.version += 1
 
-    def nll(self, features: np.ndarray, decisions: DecisionVector) -> float:
-        """Negative log-likelihood of a decision assignment (training metric)."""
-        return -self.log_probability(features, decisions)
-
     def nll_batch(self, features: np.ndarray, decisions: Sequence[DecisionVector]) -> np.ndarray:
         """Per-example negative log-likelihoods for a whole batch."""
         return -self.log_probabilities_batch(features, decisions)
@@ -317,17 +300,6 @@ class PolicyNetwork:
                 "checkpoint dimensions do not match the configured model "
                 f"(expected {(self.config.hidden_dim, self.config.feature_dim)}, got {self.w1.shape})"
             )
-
-    def kl_divergence(self, features: np.ndarray, reference: "PolicyNetwork") -> float:
-        """KL(self || reference) summed over decision slots for one prompt."""
-        own = self.forward(features).probabilities
-        other = reference.forward(features).probabilities
-        total = 0.0
-        for slot in DECISION_SLOTS:
-            p = own[slot]
-            q = other[slot]
-            total += float(np.sum(p * (np.log(p + 1e-12) - np.log(q + 1e-12))))
-        return total
 
     def kl_divergence_batch(self, features: np.ndarray, reference: "PolicyNetwork") -> np.ndarray:
         """Per-prompt KL(self || reference) for a whole feature matrix."""

@@ -1,10 +1,12 @@
 """Batched-vs-per-sample equivalence for the vectorized inference engine.
 
 The per-sample code paths (``PolicyNetwork.forward``/``backward``,
-``Decoder.greedy``/``sample``, the per-pair reward-model loop) are the
-reference oracles: every batched path must reproduce them to 1e-9.  The
-reference implementations of the SFT epoch and the REINFORCE update live in
-this file as verbatim copies of the pre-vectorization loops.
+``Decoder.greedy``/``sample``, the per-pair reward-model loop) and the
+per-sample helpers and interpreted decoder in
+``tests/oracles/interpreted_decode.py`` are the reference oracles: every
+batched path must reproduce them to 1e-9.  The reference implementations of
+the SFT epoch and the REINFORCE update live in this file as verbatim copies of
+the pre-vectorization loops.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from repro.rlhf.policy_opt import PolicyOptimizer, RewardedSample
 from repro.rlhf.preference import PreferenceDataset
 from repro.rlhf.reward_model import RewardModel
 from repro.rng import SeededRNG
+
+from oracles import interpreted_decode as oracle
 
 ATOL = 1e-9
 
@@ -100,7 +104,7 @@ class TestNetworkBatchEquivalence:
         batched = policy.nll_batch(features_matrix, decisions)
         for row, decision in enumerate(decisions):
             assert batched[row] == pytest.approx(
-                policy.nll(features_matrix[row], decision), abs=ATOL
+                oracle.nll(policy, features_matrix[row], decision), abs=ATOL
             )
 
     def test_backward_batch_matches_accumulated_per_sample(
@@ -132,7 +136,7 @@ class TestNetworkBatchEquivalence:
         batched = policy.kl_divergence_batch(features_matrix, reference)
         for row in range(features_matrix.shape[0]):
             assert batched[row] == pytest.approx(
-                policy.kl_divergence(features_matrix[row], reference), abs=ATOL
+                oracle.kl_divergence(policy, features_matrix[row], reference), abs=ATOL
             )
 
     def test_forward_batch_rejects_wrong_shape(self, policy):
@@ -151,10 +155,16 @@ class TestDecoderBatchEquivalence:
         decoder = Decoder()
         batched = decoder.greedy_batch(distributions)
         for row, result in enumerate(batched):
-            single = decoder.greedy({slot: probs[row] for slot, probs in distributions.items()})
-            assert result.decisions == single.decisions
-            assert result.logprob == pytest.approx(single.logprob, abs=ATOL)
-            assert result.slot_probabilities == pytest.approx(single.slot_probabilities, abs=ATOL)
+            row_distributions = {slot: probs[row] for slot, probs in distributions.items()}
+            for single in (
+                decoder.greedy(row_distributions),
+                oracle.InterpretedDecoder().greedy(row_distributions),
+            ):
+                assert result.decisions == single.decisions
+                assert result.logprob == pytest.approx(single.logprob, abs=ATOL)
+                assert result.slot_probabilities == pytest.approx(
+                    single.slot_probabilities, abs=ATOL
+                )
 
     def test_sample_batch_is_deterministic_per_seed(self, policy, features_matrix):
         distributions = self.make_batch_distributions(policy, features_matrix)
@@ -193,6 +203,54 @@ class TestDecoderBatchEquivalence:
                 for slot, value in result.decisions.to_dict().items()
             )
             assert result.logprob == pytest.approx(manual, abs=ATOL)
+
+
+class TestUnconstrainedDecodeMatchesOracle:
+    """``automaton=None`` decodes like the interpreted decoder on raw distributions."""
+
+    TOP = [{"top_k": None, "top_p": None}, {"top_k": 2, "top_p": None}, {"top_k": None, "top_p": 0.7}]
+
+    @staticmethod
+    def state(decoder):
+        return decoder._rng.generator.bit_generator.state
+
+    def assert_same(self, result, reference):
+        assert result.decisions == reference.decisions
+        assert result.strategy == reference.strategy
+        assert result.logprob == pytest.approx(reference.logprob, abs=ATOL)
+
+    @pytest.mark.parametrize("truncation", TOP, ids=lambda c: f"k={c['top_k']}-p={c['top_p']}")
+    def test_sample_and_diverse_match_per_row(self, policy, features_matrix, truncation):
+        distributions = policy.forward_batch(features_matrix).probabilities
+        decoder = Decoder(rng=SeededRNG(23))
+        reference = oracle.InterpretedDecoder(rng=SeededRNG(23))
+        for row in range(features_matrix.shape[0]):
+            row_distributions = {slot: probs[row] for slot, probs in distributions.items()}
+            self.assert_same(
+                decoder.sample(row_distributions, temperature=0.8, **truncation),
+                reference.sample(row_distributions, temperature=0.8, **truncation),
+            )
+            for result, expected in zip(
+                decoder.diverse_candidates(row_distributions, 4),
+                reference.diverse_candidates(row_distributions, 4),
+                strict=True,
+            ):
+                self.assert_same(result, expected)
+            assert self.state(decoder) == self.state(reference)
+
+    @pytest.mark.parametrize("truncation", TOP, ids=lambda c: f"k={c['top_k']}-p={c['top_p']}")
+    def test_sample_batch_matches(self, policy, features_matrix, truncation):
+        distributions = policy.forward_batch(features_matrix).probabilities
+        decoder = Decoder(rng=SeededRNG(29))
+        reference = oracle.InterpretedDecoder(rng=SeededRNG(29))
+        for _ in range(3):
+            for result, expected in zip(
+                decoder.sample_batch(distributions, temperature=1.3, **truncation),
+                reference.sample_batch(distributions, temperature=1.3, **truncation),
+                strict=True,
+            ):
+                self.assert_same(result, expected)
+            assert self.state(decoder) == self.state(reference)
 
 
 class TestTruncationRowEquivalence:
@@ -398,8 +456,8 @@ class TestSFTBatchedEquivalence:
         slot_total = 0
         for example in examples:
             features = encoder.encode(example.prompt)
-            total_nll += policy.nll(features, example.target)
-            decoded = decoder.greedy(policy.distributions(features)).decisions
+            total_nll += oracle.nll(policy, features, example.target)
+            decoded = decoder.greedy(oracle.distributions(policy, features)).decisions
             target_map = example.target.to_dict()
             decoded_map = decoded.to_dict()
             if decoded_map == target_map:

@@ -1,10 +1,10 @@
 """Differential tests: compiled grammar decode vs the interpreted oracle.
 
-The compiled path (automaton masks + jump-forward + CDF replay) must be
-observationally indistinguishable from the interpreted constrained-decoding
-path: byte-identical rendered faults and an identical decoder RNG stream for
-every target and every decoding strategy.  The interpreted path is never
-modified by the compiled-decode feature, so it serves as the oracle here.
+The library's decode path (automaton masks + jump-forward + CDF replay) must
+be observationally indistinguishable from the interpreted constrained decoder
+kept in ``tests/oracles/interpreted_decode.py``: byte-identical rendered
+faults and an identical decoder RNG stream for every target and every
+decoding strategy.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from repro.nlp import CodeAnalyzer, FaultSpecExtractor, PromptBuilder
 from repro.rng import SeededRNG
 from repro.targets import all_targets
 from repro.types import FaultDescription
+
+from oracles.interpreted_decode import InterpretedGenerator, constrain
 
 DESCRIPTIONS = [
     "Inject a timeout in the database transaction handling with retry",
@@ -54,8 +56,8 @@ def prompts():
 
 
 def make_generator(compiled: bool, seed: int = 11) -> FaultGenerator:
-    config = ModelConfig(compiled_decode=compiled)
-    return FaultGenerator(config, rng=SeededRNG(seed, namespace="generator"))
+    generator_class = FaultGenerator if compiled else InterpretedGenerator
+    return generator_class(ModelConfig(), rng=SeededRNG(seed, namespace="generator"))
 
 
 def rng_state(generator: FaultGenerator):
@@ -171,7 +173,7 @@ class TestAutomaton:
         oracle = interpreted._constrained_distributions(prompt, features)
         automaton = compiled.compiler.compile(prompt)
         raw = compiled.policy.forward(compiled.encoder.encode(prompt)).probabilities
-        adapted = automaton.constrain(raw)
+        adapted = constrain(automaton, raw)
         for slot, matrix in oracle.items():
             assert (adapted[slot] == matrix).all()
 

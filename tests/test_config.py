@@ -149,3 +149,29 @@ class TestPipelineConfig:
     def test_from_dict_rejects_non_mapping_section(self):
         with pytest.raises(ConfigurationError):
             PipelineConfig.from_dict({"model": "not-a-mapping"})
+
+    @pytest.mark.parametrize(
+        "data, section, key",
+        [
+            ({"model": {"bogus": 1}}, "model", "bogus"),
+            ({"model": {"compiled_decode": False}}, "model", "compiled_decode"),
+            ({"resilience": {"supervise": False}}, "resilience", "supervise"),
+            ({"resilience": {"chaos": {"crash": 0.5}}}, "resilience.chaos", "crash"),
+            ({"modle": {}}, "top-level", "modle"),
+        ],
+    )
+    def test_from_dict_names_an_unknown_key(self, data, section, key):
+        with pytest.raises(ConfigurationError) as raised:
+            PipelineConfig.from_dict(data)
+        message = str(raised.value)
+        assert f"{key!r}" in message and f"the {section} section" in message
+
+    def test_serve_reports_an_unknown_key_in_the_inherited_config(self, monkeypatch, capsys):
+        import json
+
+        from repro.cli import main
+        from repro.server.sharding import SHARD_CONFIG_ENV
+
+        monkeypatch.setenv(SHARD_CONFIG_ENV, json.dumps({"model": {"bogus": 1}}))
+        assert main(["serve", "--port", "0"]) == 2
+        assert "unknown key 'bogus' in the model section" in capsys.readouterr().err

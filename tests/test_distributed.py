@@ -8,6 +8,7 @@ elastic membership) is exercised without paying process-spawn time.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -131,6 +132,78 @@ class TestDistributedFleetExecution:
             "bank", [hang], seed=5, iterations=5, mode="distributed", timeout_seconds=1.0
         )
         assert observations[0].timed_out
+
+
+def processes_naming(connect: str) -> list[int]:
+    """Pids of live processes whose command line names ``connect``."""
+    needle = connect.encode()
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/cmdline", "rb") as handle:
+                cmdline = handle.read()
+        except OSError:  # exited while we looked
+            continue
+        if b"repro" in cmdline and needle in cmdline:
+            pids.append(int(entry))
+    return pids
+
+
+def assert_no_process_names(connect: str, within_seconds: float = 5.0) -> None:
+    """Fail unless every process naming ``connect`` is gone within the bound.
+
+    Terminated sandbox workers die asynchronously, so they get a bounded
+    moment; an orphan blocked on its own task pipe never goes away.
+    """
+    deadline = time.monotonic() + within_seconds
+    while processes_naming(connect) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert processes_naming(connect) == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process command lines from /proc")
+class TestFleetLifecycle:
+    def test_first_batch_on_a_fresh_fleet_leases_across_every_worker(self, bank_source):
+        pool = DistributedPool(
+            max_workers=3, task_timeout_seconds=10.0, distributed=DistributedConfig(workers=3)
+        )
+        leased_to: list[str] = []
+        dispatch = pool._dispatch_lease
+
+        def recording_dispatch(link, lease, state):
+            leased_to.append(link.worker_id)
+            dispatch(link, lease, state)
+
+        pool._dispatch_lease = recording_dispatch
+        with pool:
+            payloads = pool.run_batch("bank", [bank_source] * 6, seed=5, iterations=5)
+            assert [p["status"] for p in payloads] == ["ok"] * 6
+            assert len(set(leased_to[:3])) == 3
+            assert pool.stats()["workers"] == 3
+            connect = pool.connect_address
+        assert_no_process_names(connect)
+
+    def test_terminated_fleet_leaves_no_worker_process(self, bank_source):
+        from repro.distributed import LocalWorkerFleet
+
+        with DistributedPool(
+            max_workers=2,
+            task_timeout_seconds=10.0,
+            distributed=DistributedConfig(spawn_workers=False),
+        ) as pool:
+            fleet = LocalWorkerFleet(pool.connect_address, workers=2)
+            fleet.start()
+            try:
+                payloads = pool.run_batch("bank", [bank_source] * 4, seed=5, iterations=5)
+                assert [p["status"] for p in payloads] == ["ok"] * 4
+                assert processes_naming(pool.connect_address)
+            finally:
+                # SIGTERM without a GOODBYE first: the workers' inner sandbox
+                # pools hold forked children that must not outlive them.
+                fleet.shutdown()
+            assert_no_process_names(pool.connect_address)
 
 
 class _ScriptedWorker:

@@ -7,7 +7,8 @@ Invariants checked with hypothesis:
 * patches always revert cleanly (the original text is retained verbatim);
 * the fault-load DSL round-trips through JSON for arbitrary entries;
 * every decision the compiled-grammar decode emits is accepted by the
-  interpreted grammar's validator, and masked decision heads never leak a
+  grammar's validator and matches the interpreted decoder oracle
+  (``tests/oracles/``), and masked decision heads never leak a
   zero-probability (masked-out) value.
 """
 
@@ -28,6 +29,8 @@ from repro.nlp import CodeAnalyzer, FaultSpecExtractor, PromptBuilder
 from repro.rng import SeededRNG
 from repro.targets import all_targets
 from repro.types import FaultDescription
+
+from oracles.interpreted_decode import InterpretedGenerator
 
 #: A family of small but structurally varied modules for property tests.
 _MODULE_TEMPLATES = [
@@ -198,16 +201,25 @@ class TestCompiledDecodeProperties:
     ):
         pool = _prompt_pool()
         prompt = pool[prompt_index % len(pool)]
-        generator = FaultGenerator(
-            ModelConfig(compiled_decode=True), rng=SeededRNG(seed, namespace="generator")
-        )
+        generator = FaultGenerator(ModelConfig(), rng=SeededRNG(seed, namespace="generator"))
+        oracle = InterpretedGenerator(ModelConfig(), rng=SeededRNG(seed, namespace="generator"))
         if strategy == "diverse":
             candidates = generator.candidates(prompt, 3)
+            expected = oracle.candidates(prompt, 3)
         else:
             candidates = [generator.generate(prompt, greedy=strategy == "greedy")]
+            expected = [oracle.generate(prompt, greedy=strategy == "greedy")]
         grammar = CodeGrammar()
         for candidate in candidates:
             assert grammar.accepts(prompt, candidate.decisions)
+        for candidate, reference in zip(candidates, expected, strict=True):
+            assert candidate.fault.fault_id == reference.fault.fault_id
+            assert candidate.fault.code == reference.fault.code
+            assert candidate.logprob == reference.logprob
+        assert (
+            generator.decoder._rng.generator.bit_generator.state
+            == oracle.decoder._rng.generator.bit_generator.state
+        )
 
     @given(
         prompt_index=st.integers(min_value=0, max_value=10_000),
@@ -218,7 +230,7 @@ class TestCompiledDecodeProperties:
     def test_masked_heads_never_leak_invalid_decisions(self, prompt_index, seed, greedy):
         pool = _prompt_pool()
         prompt = pool[prompt_index % len(pool)]
-        config = ModelConfig(compiled_decode=True)
+        config = ModelConfig()
         generator = FaultGenerator(config, rng=SeededRNG(seed, namespace="generator"))
         automaton = generator.compiler.compile(prompt)
         candidate = generator.generate(prompt, greedy=greedy)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import json
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.llm import (
     reference_decisions,
     save_checkpoint,
 )
+from repro.llm.compiled_grammar import feedback_forced_slots, spec_constraint
 
 
 class TestFaultGenerator:
@@ -40,7 +42,7 @@ class TestFaultGenerator:
 
     def test_spec_constraint_can_be_disabled(self, sample_prompt):
         generator = FaultGenerator(ModelConfig(constrain_to_spec=False))
-        assert generator._spec_constraint(sample_prompt) == {}
+        assert spec_constraint(sample_prompt, generator.config) == {}
 
     def test_candidates_are_diverse(self, fault_generator, sample_prompt):
         candidates = fault_generator.candidates(sample_prompt, count=4)
@@ -50,7 +52,7 @@ class TestFaultGenerator:
 
     def test_forced_slots_from_feedback(self, fault_generator, sample_prompt, prompt_builder):
         refined = prompt_builder.refine(sample_prompt, {"wants_retry": True})
-        assert fault_generator.forced_slots(refined) == {"handling": "retry"}
+        assert feedback_forced_slots(refined) == {"handling": "retry"}
         candidate = fault_generator.generate(refined)
         assert candidate.decisions.handling == "retry"
 
@@ -58,7 +60,7 @@ class TestFaultGenerator:
         refined = prompt_builder.refine(
             sample_prompt, {"handling": "fallback", "trigger": "probabilistic", "severity": "high"}
         )
-        forced = fault_generator.forced_slots(refined)
+        forced = feedback_forced_slots(refined)
         assert forced == {"handling": "fallback", "trigger": "probabilistic", "severity": "high"}
 
     def test_render_decisions_honours_explicit_vector(self, fault_generator, sample_prompt):
@@ -154,3 +156,15 @@ class TestCheckpoints:
         (tmp_path / "broken.json").write_text("not json")
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path, name="broken")
+
+    def test_checkpoint_carrying_a_retired_config_key_loads(self, tmp_path, fault_generator):
+        # Every checkpoint written while ModelConfig had a decode-path flag
+        # stores it in the metadata; the flag is gone, the checkpoint is not.
+        save_checkpoint(fault_generator.policy, tmp_path, name="older")
+        meta_path = tmp_path / "older.json"
+        metadata = json.loads(meta_path.read_text())
+        metadata["config"]["compiled_decode"] = True
+        meta_path.write_text(json.dumps(metadata, indent=2, sort_keys=True))
+        restored = load_checkpoint(tmp_path, name="older")
+        assert restored.config == fault_generator.policy.config
+        assert restored.version == fault_generator.policy.version

@@ -84,7 +84,8 @@ class TestPolicyNetwork:
             policy.load_state(other.state_dict())
 
     def test_kl_divergence_zero_against_itself(self, policy, encoded_prompt):
-        assert policy.kl_divergence(encoded_prompt, policy) == pytest.approx(0.0, abs=1e-9)
+        features = encoded_prompt[None, :]
+        assert policy.kl_divergence_batch(features, policy)[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_kl_divergence_positive_after_training(self, policy, encoded_prompt, sample_prompt):
         reference = policy.clone()
@@ -92,7 +93,7 @@ class TestPolicyNetwork:
         for _ in range(15):
             forward = policy.forward(encoded_prompt)
             policy.apply_gradients(policy.backward(forward, target), learning_rate=0.3)
-        assert policy.kl_divergence(encoded_prompt, reference) > 0.0
+        assert policy.kl_divergence_batch(encoded_prompt[None, :], reference)[0] > 0.0
 
     def test_version_increments_on_update(self, policy, encoded_prompt, sample_prompt):
         target = reference_decisions(sample_prompt.spec)
@@ -103,7 +104,7 @@ class TestPolicyNetwork:
 
 class TestDecoder:
     def make_distributions(self, policy, encoded_prompt):
-        return policy.distributions(encoded_prompt)
+        return policy.forward(encoded_prompt).probabilities
 
     def test_greedy_picks_argmax(self, policy, encoded_prompt):
         distributions = self.make_distributions(policy, encoded_prompt)

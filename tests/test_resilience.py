@@ -8,8 +8,10 @@ serving traffic does.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -42,10 +44,18 @@ from repro.resilience import (
 )
 from repro.targets import get_target
 
+from oracles.legacy_pool import LegacyWorkerPool
+
 DESCRIPTION = "Simulate a timeout in the transfer function causing an unhandled exception"
 
 #: Kills the hosting worker process outright while the module loads.
 EXIT_ON_LOAD = "import os\nos._exit(7)\n"
+
+
+def stable_payload(payload: dict) -> dict:
+    """A pool payload with the wall-clock measurement stripped."""
+    result = {k: v for k, v in payload.get("result", {}).items() if k != "duration_seconds"}
+    return {**payload, "result": result}
 
 
 class FakeClock:
@@ -439,13 +449,41 @@ class TestSupervisedPool:
             # the pool still serves healthy work afterwards
             assert [p["status"] for p in pool.run_batch("bank", [bank], iterations=10)] == ["ok"]
 
-    def test_unsupervised_mode_keeps_the_legacy_behaviour(self):
+    def test_supervised_payloads_match_the_legacy_oracle(self):
         bank = get_target("bank").build_source()
-        resilience = ResilienceConfig(supervise=False)
-        with WorkerPool(max_workers=1, task_timeout_seconds=5.0, resilience=resilience) as pool:
-            payloads = pool.run_batch("bank", [bank, bank + EXIT_ON_LOAD, bank], iterations=10)
+        sources = [bank, bank + EXIT_ON_LOAD, bank]
+        with LegacyWorkerPool(max_workers=1, task_timeout_seconds=5.0) as legacy:
+            expected = legacy.run_batch("bank", sources, iterations=10)
+            assert [p["status"] for p in expected] == ["ok", "error", "ok"]
+            assert legacy.quarantined == 0  # quarantine is a supervision feature
+        with WorkerPool(max_workers=1, task_timeout_seconds=5.0) as pool:
+            payloads = pool.run_batch("bank", sources, iterations=10)
             assert [p["status"] for p in payloads] == ["ok", "error", "ok"]
-            assert pool.quarantined == 0  # quarantine is a supervision feature
+            assert pool.quarantined == 1
+        for index in (0, 2):
+            assert stable_payload(payloads[index]) == stable_payload(expected[index])
+
+    def test_pool_breaking_mid_submission_requeues_the_rest_of_the_round(self, monkeypatch):
+        # A worker killed by an earlier task of the round can break the
+        # executor while later tasks are still being submitted.
+        bank = get_target("bank").build_source()
+        submissions = itertools.count(1)
+
+        class BreaksOnSecondSubmit:
+            def __init__(self, executor):
+                self.executor = executor
+
+            def submit(self, fn, task):
+                if next(submissions) == 2:
+                    raise BrokenProcessPool("a worker died during submission")
+                return self.executor.submit(fn, task)
+
+        with WorkerPool(max_workers=2, task_timeout_seconds=5.0) as pool:
+            real_ensure = pool._ensure_executor
+            monkeypatch.setattr(pool, "_ensure_executor", lambda: BreaksOnSecondSubmit(real_ensure()))
+            payloads = pool.run_batch("bank", [bank] * 3, iterations=10)
+            assert [p["status"] for p in payloads] == ["ok", "ok", "ok"]
+            assert pool.retries >= 1
 
     def test_liveness_check_recycles_a_dead_pool(self):
         bank = get_target("bank").build_source()

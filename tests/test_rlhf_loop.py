@@ -130,7 +130,8 @@ class TestPolicyOptimizer:
         optimizer.update([RewardedSample(prompt=sample_prompt, decisions=candidate.decisions, reward=1.0)])
         optimizer.reset_reference()
         features = fault_generator.encoder.encode(sample_prompt)
-        assert fault_generator.policy.kl_divergence(features, optimizer.reference) == pytest.approx(0.0, abs=1e-9)
+        kl = fault_generator.policy.kl_divergence_batch(features[None, :], optimizer.reference)
+        assert kl[0] == pytest.approx(0.0, abs=1e-9)
 
 
 class TestRLHFTrainer:
